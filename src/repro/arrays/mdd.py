@@ -15,14 +15,14 @@ tape-archived arrays — the transparency HEAVEN promises its users.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import DomainError, TilingError
 from .celltype import CellType, DOUBLE
 from .cellsource import CellSource, ZeroSource
-from .index import GridIndex, TileIndex, build_index
+from .index import BoundsTable, GridIndex
 from .minterval import MInterval
 from .tile import Tile
 from .tiling import RegularTiling, TilingScheme, validate_tiling
@@ -72,12 +72,13 @@ class MDD:
             tile_id: Tile(tile_id, tile_domain, cell_type)
             for tile_id, tile_domain in enumerate(tile_domains)
         }
-        tile_shape = (
-            tuple(self.tiling.tile_shape)  # type: ignore[attr-defined]
+        # Regular tilings are looked up by grid arithmetic, every other
+        # tiling through a vectorised lo/hi bounds table.
+        self.index: Union[GridIndex, BoundsTable] = (
+            GridIndex(domain, self.tiling.tile_shape)
             if isinstance(self.tiling, RegularTiling)
-            else None
+            else BoundsTable(tile_domains)
         )
-        self.index: TileIndex = build_index(domain, tile_domains, tile_shape)
 
     # -- constructors ---------------------------------------------------------
 
@@ -123,10 +124,7 @@ class MDD:
 
     def tiles_for(self, region: MInterval) -> List[Tile]:
         """Tiles intersecting *region*, in tile-id order."""
-        clipped = self.domain.intersection(region)
-        if clipped is None:
-            return []
-        return [self.tiles[tile_id] for tile_id in self.index.intersecting(clipped)]
+        return [self.tiles[tile_id] for tile_id in self.index.intersecting(region)]
 
     def validate(self) -> None:
         """Self-check: tiles exactly cover the domain without overlap."""

@@ -669,7 +669,8 @@ def run_suite(
 ) -> List[BenchResult]:
     """Run (a subset of) the suite and write ``BENCH_<name>.json`` files.
 
-    Returns the results in suite order.  ``out_dir=None`` skips writing.
+    Returns the results in suite order.  ``out_dir=None`` skips writing;
+    a missing *out_dir* is created.
     """
     selected = list(SUITE)
     if names:
@@ -693,6 +694,7 @@ def run_suite(
         )
         results.append(result)
         if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
             path = Path(out_dir) / result_filename(bench.name)
             path.write_text(result.to_json(), encoding="utf-8")
             if progress is not None:

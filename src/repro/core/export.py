@@ -190,7 +190,7 @@ class TCTExporter:
         placements: Sequence[Placement],
         pipelined: bool = True,
         stored_sizes: Optional[Dict[int, int]] = None,
-        codec=None,
+        tile_payloads: Optional[Dict[int, bytes]] = None,
     ) -> ExportReport:
         """Stream each super-tile as one segment per its placement.
 
@@ -204,7 +204,9 @@ class TCTExporter:
             stored_sizes: per-tile on-tape sizes when compression is on
                 (the caller must already have set each super-tile's
                 ``size_bytes`` to the matching sum); None = logical sizes.
-            codec: per-tile codec applied while assembling payloads.
+            tile_payloads: per-tile stored (compressed) bytes when
+                compression is on, streamed as given; None = the tiles'
+                raw BLOB bytes.
 
         Side effects: fills in each super-tile's ``medium_id``,
         ``segment_name`` and ``tile_extents``.
@@ -228,7 +230,7 @@ class TCTExporter:
                 "export.tct", object=mdd.name, pipelined=pipelined
             ) as export_span:
                 self._export_segments(
-                    mdd, placements, pipelined, stored_sizes, codec,
+                    mdd, placements, pipelined, stored_sizes, tile_payloads,
                     report, export_span, txn_id,
                 )
         except Exception:
@@ -274,7 +276,7 @@ class TCTExporter:
         placements: Sequence[Placement],
         pipelined: bool,
         stored_sizes: Optional[Dict[int, int]],
-        codec,
+        tile_payloads: Optional[Dict[int, bytes]],
         report: ExportReport,
         export_span,
         txn_id: Optional[int],
@@ -322,7 +324,7 @@ class TCTExporter:
                     )
                 report.stall_seconds += stall
 
-            payload = self._assemble_payload(mdd, super_tile, codec)
+            payload = self._assemble_payload(mdd, super_tile, tile_payloads)
 
             # --- one streamed segment write --------------------------------
             write_watch = Stopwatch(clock)
@@ -368,10 +370,13 @@ class TCTExporter:
         )
 
     def _assemble_payload(
-        self, mdd: MDD, super_tile: SuperTile, codec=None
+        self,
+        mdd: MDD,
+        super_tile: SuperTile,
+        tile_payloads: Optional[Dict[int, bytes]],
     ) -> Optional[bytes]:
-        """Concatenate member tile bytes (per-tile compressed) in intra-
-        cluster order.
+        """Concatenate member tile bytes (the caller's stored bytes when
+        given, else the raw BLOBs) in intra-cluster order.
 
         Uses uncharged peeks — the charged assembly cost is modelled above
         (pipelined); double-charging through the resolver would count every
@@ -380,6 +385,8 @@ class TCTExporter:
         blobs = self.storage.db.blobs
         if not blobs.retain_payload:
             return None
+        if tile_payloads is not None:
+            return b"".join(tile_payloads[t] for t in super_tile.tile_ids)
         parts: List[bytes] = []
         for tile_id in super_tile.tile_ids:
             blob_oid = self.storage.blob_oid_of(mdd.oid, tile_id)
@@ -388,7 +395,5 @@ class TCTExporter:
                 tile = mdd.tiles[tile_id]
                 cells = mdd.materialize_tile(tile)
                 raw = np.ascontiguousarray(cells, dtype=mdd.cell_type.dtype).tobytes()
-            if codec is not None:
-                raw = codec.compress(raw)
             parts.append(raw)
         return b"".join(parts)

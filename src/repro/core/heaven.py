@@ -438,8 +438,9 @@ class Heaven:
             self.pyramids.build(mdd, self.config.pyramid_factors)
 
         stored_sizes: Optional[Dict[int, int]] = None
+        compressed: Optional[Dict[int, bytes]] = None
         if self.codec.name != "none":
-            stored_sizes = self._stored_tile_sizes(mdd)
+            stored_sizes, compressed = self._compress_tiles(mdd)
             for super_tile in super_tiles:
                 super_tile.size_bytes = sum(
                     stored_sizes[t] for t in super_tile.tile_ids
@@ -452,7 +453,7 @@ class Heaven:
                     mdd,
                     plan,
                     stored_sizes=stored_sizes,
-                    codec=self.codec if self.codec.name != "none" else None,
+                    tile_payloads=compressed,
                 )
         except Exception:
             # A failed migration (e.g. out of media) must not leave orphan
@@ -512,16 +513,31 @@ class Heaven:
         self.db.delete_rows("ras_collections", lambda r: r["name"] == name)
         self.storage._collections.pop(name, None)
 
-    def _stored_tile_sizes(self, mdd: MDD) -> Dict[int, int]:
-        """On-tape (compressed) size of every tile of *mdd*."""
+    def _compress_tiles(
+        self, mdd: MDD
+    ) -> Tuple[Dict[int, int], Optional[Dict[int, bytes]]]:
+        """On-tape size of every tile of *mdd*, plus its compressed bytes.
+
+        Each tile is compressed exactly once: the same bytes give its
+        stored size and become its part of the exported segment.  A
+        payload-free database keeps no bytes to compress, so sizes are
+        the codec's estimate and no payloads are returned.
+        """
         assert mdd.oid is not None
-        sizes: Dict[int, int] = {}
-        for tile_id, tile in mdd.tiles.items():
-            raw = None
-            if self.db.blobs.retain_payload:
-                raw = self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
-            sizes[tile_id] = self.codec.stored_size(tile.size_bytes, raw)
-        return sizes
+        if not self.db.blobs.retain_payload:
+            sizes = {
+                tile_id: self.codec.stored_size(tile.size_bytes, None)
+                for tile_id, tile in mdd.tiles.items()
+            }
+            return sizes, None
+        payloads = {
+            tile_id: self.codec.compress(
+                self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
+            )
+            for tile_id in mdd.tiles
+        }
+        sizes = {tile_id: max(1, len(data)) for tile_id, data in payloads.items()}
+        return sizes, payloads
 
     # ------------------------------------------------------------------ retrieval
 
@@ -800,9 +816,7 @@ class Heaven:
             name=object_name,
             domain=str(mdd.domain),
             dtype=mdd.cell_type.name,
-            tile_domains=tuple(
-                str(mdd.tiles[tile_id].domain) for tile_id in sorted(mdd.tiles)
-            ),
+            tiling=mdd.tiling,
             tile_segments=tile_segments,
             archived=entry is not None,
         )

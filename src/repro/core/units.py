@@ -9,15 +9,17 @@ The currency of that split is defined here:
 * :class:`SubReadResponse` — the decoded tile payloads plus the
   storage-cost stats of serving them;
 * :class:`ObjectDescriptor` — the metadata a service node needs to split
-  a region into per-shard sub-reads without holding the data itself.
+  a region into per-shard sub-reads without holding the data itself
+  (handed to the service node in-process, never encoded).
 
-Every unit is a plain dataclass whose state round-trips through an
-explicit wire format: a JSON header line followed by length-prefixed
-binary payload frames (:func:`encode_frames` / :func:`decode_frames`).
-Cell bytes never pass through JSON — they ride in the binary frames, and
-decoding hands back zero-copy ``memoryview`` slices of the received
-buffer.  A sub-read can therefore be dispatched to a local task today and
-a remote node tomorrow without changing shape.
+Every request and response unit is a plain dataclass whose state
+round-trips through an explicit wire format: a JSON header line
+followed by length-prefixed binary payload frames
+(:func:`encode_frames` / :func:`decode_frames`).  Cell bytes never
+pass through JSON — they ride in the binary frames, and decoding hands
+back zero-copy ``memoryview`` slices of the received buffer.  A
+sub-read can therefore be dispatched to a local task today and a remote
+node tomorrow without changing shape.
 
 :meth:`repro.core.heaven.Heaven.serve_sub_reads` is the executable half:
 it answers a batch of units over one staging pass, and
@@ -36,6 +38,7 @@ import numpy as np
 
 from ..arrays.celltype import CellType, lookup as lookup_cell_type
 from ..arrays.minterval import MInterval
+from ..arrays.tiling import TilingScheme
 from ..errors import CellTypeError, WireFormatError
 
 __all__ = [
@@ -386,17 +389,20 @@ class SubReadResponse:
 class ObjectDescriptor:
     """Shardable metadata of one object: what a service node routes by.
 
-    ``tile_domains`` is indexed by tile id; ``tile_segments`` maps each
-    tile to its super-tile segment key once archived — the consistent-hash
-    shard key, so every tile of one super-tile lands on the same node.
-    Disk-resident objects shard per tile under a synthetic key.
+    ``tiling`` is the object's own tiling scheme, so a service node
+    rebuilds the identical tile ids and domains (and, for a regular
+    tiling, the computed grid lookup) from the domain alone.
+    ``tile_segments`` maps each tile to its super-tile segment key once
+    archived — the consistent-hash shard key, so every tile of one
+    super-tile lands on the same node.  Disk-resident objects shard per
+    tile under a synthetic key.
     """
 
     collection: str
     name: str
     domain: str
     dtype: str
-    tile_domains: Tuple[str, ...]
+    tiling: TilingScheme
     tile_segments: Dict[int, str] = field(default_factory=dict)
     archived: bool = False
 
@@ -405,36 +411,3 @@ class ObjectDescriptor:
         if segment is not None:
             return segment
         return f"{self.collection}/{self.name}/t{tile_id}"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "collection": self.collection,
-                "name": self.name,
-                "domain": self.domain,
-                "dtype": self.dtype,
-                "tile_domains": list(self.tile_domains),
-                "tile_segments": {
-                    str(tile_id): key
-                    for tile_id, key in sorted(self.tile_segments.items())
-                },
-                "archived": self.archived,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ObjectDescriptor":
-        data = json.loads(text)
-        return cls(
-            collection=str(data["collection"]),
-            name=str(data["name"]),
-            domain=str(data["domain"]),
-            dtype=str(data["dtype"]),
-            tile_domains=tuple(str(d) for d in data["tile_domains"]),
-            tile_segments={
-                int(tile_id): str(key)
-                for tile_id, key in data.get("tile_segments", {}).items()
-            },
-            archived=bool(data.get("archived", False)),
-        )

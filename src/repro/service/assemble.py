@@ -2,10 +2,10 @@
 
 A service node holds no cells — only :class:`~repro.core.units
 .ObjectDescriptor` catalog entries.  For each object it builds a
-*shadow MDD*: same domain, same cell type, and — via
-:class:`ExplicitTiling` — the exact tile geometry of the data nodes'
-object, so tile ids line up with the descriptor's ``tile_domains``
-order.  Reassembly installs a resolver that serves each tile from the
+*shadow MDD*: same domain, same cell type and the descriptor's own
+tiling scheme, so tile ids and domains line up with the data nodes'
+object and a regular tiling keeps its computed grid lookup.
+Reassembly installs a resolver that serves each tile from the
 received :class:`~repro.core.units.TilePayload` byte views and runs the
 ordinary ``MDD.read``: the existing vectorized zero-copy scatter
 (pointer-adjacent run merging included) does the rest, so the service
@@ -22,31 +22,10 @@ from ..arrays.celltype import CellType
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.tile import Tile
-from ..arrays.tiling import TilingScheme
 from ..core.units import ObjectDescriptor, TilePayload, _dtype_for
 from ..errors import ShardUnavailableError
 
-__all__ = ["ExplicitTiling", "ShadowObject"]
-
-
-class ExplicitTiling(TilingScheme):
-    """A fixed, pre-computed tile-domain list (descriptor-driven tiling).
-
-    Tile ids are positional, so feeding a descriptor's ``tile_domains``
-    (which are listed in tile-id order) reproduces the data nodes' ids
-    exactly — the invariant shard routing depends on.
-    """
-
-    def __init__(self, domains: List[MInterval]) -> None:
-        self._domains = list(domains)
-
-    def tile_domains(
-        self, domain: MInterval, cell_type: CellType
-    ) -> List[MInterval]:
-        return list(self._domains)
-
-    def describe(self) -> str:
-        return f"explicit({len(self._domains)} tiles)"
+__all__ = ["ShadowObject"]
 
 
 class ShadowObject:
@@ -60,9 +39,7 @@ class ShadowObject:
             descriptor.name,
             MInterval.parse(descriptor.domain),
             cell_type,
-            tiling=ExplicitTiling(
-                [MInterval.parse(d) for d in descriptor.tile_domains]
-            ),
+            tiling=descriptor.tiling,
         )
         # No local cells, ever: tiles resolve only during an assemble()
         # call with that read's payloads installed.

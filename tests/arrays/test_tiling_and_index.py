@@ -8,12 +8,12 @@ from repro.arrays import (
     DOUBLE,
     CHAR,
     DirectionalTiling,
+    BoundsTable,
     GridIndex,
+    MDD,
     MInterval,
-    RTreeIndex,
     RegularTiling,
     SizeBoundedTiling,
-    build_index,
     validate_tiling,
 )
 from repro.errors import DomainError, TilingError
@@ -116,12 +116,21 @@ class TestValidateTiling:
 class TestGridIndex:
     @pytest.fixture
     def index(self):
-        tiles = RegularTiling((25, 20)).tile_domains(DOMAIN, DOUBLE)
-        return build_index(DOMAIN, tiles, tile_shape=(25, 20))
+        return GridIndex(DOMAIN, (25, 20))
 
-    def test_is_grid_index(self, index):
-        assert isinstance(index, GridIndex)
-        assert index.grid_counts == (4, 3)
+    def test_is_grid_index(self):
+        mdd = MDD("g", DOMAIN, DOUBLE, tiling=RegularTiling((25, 20)))
+        assert isinstance(mdd.index, GridIndex)
+        assert mdd.index.grid_counts == (4, 3)
+
+    def test_tile_id_at_is_row_major(self, index):
+        tiles = RegularTiling((25, 20)).tile_domains(DOMAIN, DOUBLE)
+        assert index.tile_id_at((1, 1)) == 4
+        assert tiles[4] == MInterval.of((25, 49), (20, 39))
+
+    def test_tile_id_at_outside_grid_rejected(self, index):
+        with pytest.raises(DomainError):
+            index.tile_id_at((4, 0))
 
     def test_point_region(self, index):
         assert index.intersecting(MInterval.of(30, 25)) == [4]
@@ -136,22 +145,26 @@ class TestGridIndex:
     def test_disjoint_region_empty(self, index):
         assert index.intersecting(MInterval.of((200, 210), (0, 5))) == []
 
-    def test_domain_of_unknown_tile(self, index):
+    def test_dimension_mismatch_rejected(self, index):
         with pytest.raises(DomainError):
-            index.domain_of(99)
+            index.intersecting(MInterval.of((0, 5)))
 
-    def test_insert_wrong_slot_rejected(self):
-        grid = GridIndex(DOMAIN, (25, 20))
+    def test_shape_arity_mismatch_rejected(self):
         with pytest.raises(TilingError):
-            grid.insert(0, MInterval.of((0, 10), (0, 10)))
+            GridIndex(DOMAIN, (25,))
 
 
-class TestRTreeIndex:
+class TestBoundsTable:
+    BOXES = [
+        MInterval.of((0, 4), (0, 9)),
+        MInterval.of((5, 9), (0, 4)),
+        MInterval.of((5, 9), (5, 9)),
+        MInterval.of((10, 30), (0, 9)),
+    ]
+
     def test_matches_bruteforce_on_regular_tiles(self):
         tiles = RegularTiling((10, 10)).tile_domains(DOMAIN, DOUBLE)
-        rtree = RTreeIndex(max_entries=4)
-        for tile_id, tile in enumerate(tiles):
-            rtree.insert(tile_id, tile)
+        table = BoundsTable(tiles)
         rng = np.random.default_rng(0)
         for _ in range(30):
             lo0, lo1 = int(rng.integers(0, 90)), int(rng.integers(0, 50))
@@ -159,45 +172,48 @@ class TestRTreeIndex:
             expect = sorted(
                 i for i, t in enumerate(tiles) if t.intersects(region)
             )
-            assert rtree.intersecting(region) == expect
+            assert table.intersecting(region) == expect
 
     def test_handles_irregular_tiles(self):
-        rtree = RTreeIndex(max_entries=4)
-        boxes = [
-            MInterval.of((0, 4), (0, 9)),
-            MInterval.of((5, 9), (0, 4)),
-            MInterval.of((5, 9), (5, 9)),
-            MInterval.of((10, 30), (0, 9)),
-        ]
-        for i, box in enumerate(boxes):
-            rtree.insert(i, box)
-        assert rtree.intersecting(MInterval.of((4, 6), (4, 6))) == [0, 1, 2]
+        table = BoundsTable(self.BOXES)
+        assert table.intersecting(MInterval.of((4, 6), (4, 6))) == [0, 1, 2]
+        assert table.intersecting(MInterval.of((9, 10), (9, 9))) == [2, 3]
 
-    def test_duplicate_insert_rejected(self):
-        rtree = RTreeIndex()
-        rtree.insert(0, MInterval.of((0, 1)))
-        with pytest.raises(TilingError):
-            rtree.insert(0, MInterval.of((2, 3)))
+    def test_region_outside_every_tile_empty(self):
+        table = BoundsTable(self.BOXES)
+        assert table.intersecting(MInterval.of((31, 40), (0, 9))) == []
 
-    def test_tree_grows_in_height(self):
-        rtree = RTreeIndex(max_entries=4)
-        for i in range(50):
-            rtree.insert(i, MInterval.of((i * 2, i * 2 + 1)))
-        assert rtree.height >= 2
-        assert len(rtree.all_ids()) == 50
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            BoundsTable(self.BOXES).intersecting(MInterval.of((0, 5)))
 
-    def test_all_entries_findable_after_splits(self):
-        rtree = RTreeIndex(max_entries=4)
-        boxes = {}
-        rng = np.random.default_rng(3)
-        for i in range(120):
-            lo0, lo1 = int(rng.integers(0, 500)), int(rng.integers(0, 500))
-            box = MInterval.of((lo0, lo0 + 5), (lo1, lo1 + 5))
-            boxes[i] = box
-            rtree.insert(i, box)
-        for i, box in boxes.items():
-            assert i in rtree.intersecting(box)
 
-    def test_small_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            RTreeIndex(max_entries=2)
+class TestMDDIndex:
+    TILINGS = [
+        RegularTiling((25, 20)),
+        RegularTiling((30, 40)),
+        SizeBoundedTiling(8 * 1024),
+        DirectionalTiling([[25, 50, 75], [13]]),
+        AlignedTiling(max_tile_bytes=16 * 1024, preferred_axes=[1]),
+    ]
+
+    def test_matches_bruteforce_overlap(self):
+        """Grid arithmetic (regular) or bounds table (every other tiling)
+        finds exactly the tiles a brute-force overlap test finds, also for
+        regions reaching outside the domain."""
+        rng = np.random.default_rng(0)
+        for tiling in self.TILINGS:
+            mdd = MDD("o", DOMAIN, DOUBLE, tiling=tiling)
+            regular = isinstance(tiling, RegularTiling)
+            assert isinstance(mdd.index, GridIndex if regular else BoundsTable)
+            for _ in range(60):
+                lo0, lo1 = int(rng.integers(-20, 110)), int(rng.integers(-20, 70))
+                region = MInterval.of(
+                    (lo0, lo0 + int(rng.integers(0, 40))),
+                    (lo1, lo1 + int(rng.integers(0, 30))),
+                )
+                expect = sorted(
+                    i for i, t in mdd.tiles.items() if t.domain.intersects(region)
+                )
+                assert mdd.index.intersecting(region) == expect
+                assert [t.tile_id for t in mdd.tiles_for(region)] == expect

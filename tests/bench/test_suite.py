@@ -127,6 +127,12 @@ class TestSuiteExecution:
         assert (tmp_path / "BENCH_tile_decode.json").is_file()
         assert not (tmp_path / "BENCH_scatter_assembly.json").exists()
 
+    def test_missing_out_dir_is_created(self, tmp_path):
+        out = tmp_path / "nested" / "bench-out"
+        run_suite(["tile_decode"], repetitions=1, warmup=0,
+                  scale="smoke", out_dir=str(out))
+        assert (out / "BENCH_tile_decode.json").is_file()
+
     def test_out_dir_none_skips_writing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_suite(["parallel_dispatch"], repetitions=1, warmup=0,

@@ -1,7 +1,7 @@
 """End-to-end tests for irregularly tiled objects through HEAVEN.
 
-Non-regular tilings (directional, aligned) use the R-tree index; STAR then
-falls back to run packing. Everything downstream — export, staging, caches,
+Non-regular tilings (directional, aligned) look tiles up through a bounds
+table; STAR then falls back to run packing. Everything downstream — export, staging, caches,
 queries — must work identically.
 """
 
@@ -14,8 +14,8 @@ from repro.arrays import (
     DirectionalTiling,
     HashedNoiseSource,
     MDD,
+    BoundsTable,
     MInterval,
-    RTreeIndex,
 )
 from repro.core import Heaven, HeavenConfig, run_pack_partition
 from repro.tertiary import MB
@@ -44,9 +44,9 @@ def build(tiling):
 class TestDirectionalTilingE2E:
     TILING = DirectionalTiling([[20, 45], [32]])
 
-    def test_uses_rtree_index(self):
+    def test_uses_bounds_table(self):
         _heaven, mdd = build(self.TILING)
-        assert isinstance(mdd.index, RTreeIndex)
+        assert isinstance(mdd.index, BoundsTable)
 
     def test_archive_and_read(self):
         heaven, mdd = build(self.TILING)

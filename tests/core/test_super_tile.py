@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling, SizeBoundedTiling
+from repro.arrays import (
+    DOUBLE,
+    MDD,
+    AlignedTiling,
+    DirectionalTiling,
+    MInterval,
+    RegularTiling,
+    SizeBoundedTiling,
+)
 from repro.core import (
     SuperTile,
     grid_block_shape,
@@ -86,17 +94,22 @@ class TestStarPartition:
         assert transposed[0].domain.shape == (128, 32)
 
     def test_irregular_tiling_falls_back_to_run_packing(self):
-        mdd = MDD(
-            "irr",
-            MInterval.from_shape((100, 100)),
-            DOUBLE,
-            tiling=SizeBoundedTiling(8 * KB),
-        )
-        # SizeBoundedTiling builds a grid but the MDD uses an R-tree index
-        # only for non-regular schemes; size tiling is regular under the
-        # hood, so force the fallback path directly:
-        super_tiles = run_pack_partition(mdd, 32 * KB)
-        assert sum(st.tile_count for st in super_tiles) == mdd.tile_count()
+        # Only RegularTiling gets STAR's grid blocks; every other scheme
+        # (even one that cuts a grid underneath) is run-packed.  At 48 KB
+        # (six 8,000 B tiles) grid blocks would hold 4 resp. 6/2 tiles.
+        for tiling in (
+            SizeBoundedTiling(8 * KB),
+            AlignedTiling(8 * KB, preferred_axes=[2]),
+            DirectionalTiling([[10, 25], [20], [5, 30]]),
+        ):
+            mdd = MDD("irr", MInterval.from_shape((40, 40, 40)), DOUBLE, tiling=tiling)
+            star = star_partition(mdd, 48 * KB)
+            packed = run_pack_partition(mdd, 48 * KB)
+            assert [st.tile_ids for st in star] == [st.tile_ids for st in packed]
+            assert [st.domain for st in star] == [st.domain for st in packed]
+            assert [st.size_bytes for st in star] == [
+                st.size_bytes for st in packed
+            ]
 
     def test_3d_partition(self):
         mdd = MDD(

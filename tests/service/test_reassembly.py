@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import DOUBLE, MDD, HashedNoiseSource, MInterval, RegularTiling
+from repro.arrays import (
+    DOUBLE,
+    MDD,
+    AlignedTiling,
+    BoundsTable,
+    DirectionalTiling,
+    GridIndex,
+    HashedNoiseSource,
+    MInterval,
+    RegularTiling,
+)
 from repro.core import Heaven, HeavenConfig
 from repro.errors import HeavenError, ShardUnavailableError
 from repro.service import ServiceCluster, ShadowObject
@@ -126,6 +136,8 @@ class TestShadowObject:
     def test_shadow_matches_geometry(self, reference):
         shadow = ShadowObject(self._descriptor(reference))
         mdd = reference.collection("c").get("obj")
+        # The descriptor carries the regular tiling: the shadow keeps the grid.
+        assert isinstance(shadow.mdd.index, GridIndex)
         assert str(shadow.domain) == str(mdd.domain)
         assert len(shadow.mdd.tiles) == len(mdd.tiles)
         for tile_id, tile in mdd.tiles.items():
@@ -152,6 +164,75 @@ class TestShadowObject:
             MInterval.parse(f"0:{SIDE + 50},0:{SIDE + 50}")
         )
         assert past == SIDE * SIDE * 8
+
+
+#: Non-regular tilings, each served archived and disk-resident.
+IRREGULAR = {
+    "directional": DirectionalTiling([[20, 45, 70], [33, 80]]),
+    "aligned": AlignedTiling(max_tile_bytes=4 * 1024, preferred_axes=[1]),
+}
+
+
+def _irregular_setup(tiling, archived: bool):
+    def setup(heaven: Heaven) -> None:
+        heaven.create_collection("c")
+        mdd = MDD(
+            "obj",
+            MInterval.of((0, SIDE - 1), (0, SIDE - 1)),
+            DOUBLE,
+            tiling=tiling,
+            source=HashedNoiseSource(13, -5.0, 5.0),
+        )
+        heaven.insert("c", mdd)
+        if archived:
+            heaven.archive("c", "obj")
+            heaven.library.unmount_all()
+
+    return setup
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (name, archived) for name in sorted(IRREGULAR) for archived in (True, False)
+    ],
+    ids=lambda p: f"{p[0]}-{'archived' if p[1] else 'disk'}",
+)
+def irregular(request):
+    name, archived = request.param
+    setup = _irregular_setup(IRREGULAR[name], archived)
+    reference = Heaven(_make_config())
+    setup(reference)
+    built = ServiceCluster.build(
+        _make_config, setup, nodes=4, objects=[("c", "obj")]
+    )
+    built.register_tenant("alice")
+    return reference, built
+
+
+class TestIrregularTilings:
+    def test_shadow_matches_data_node_tiles(self, irregular):
+        reference, built = irregular
+        shadow = built.sn.shadow("c", "obj")
+        assert isinstance(shadow.mdd.index, BoundsTable)
+        for heaven in built.heavens:
+            mdd = heaven.collection("c").get("obj")
+            assert sorted(shadow.mdd.tiles) == sorted(mdd.tiles)
+            for tile_id, tile in mdd.tiles.items():
+                assert shadow.mdd.tiles[tile_id].domain == tile.domain
+
+    def test_reads_match_single_node(self, irregular):
+        reference, built = irregular
+        regions = [
+            f"0:{SIDE - 1},0:{SIDE - 1}",
+            "10:50,20:90",
+            "19:21,32:34",
+            "70:95,0:5",
+        ]
+        for region in regions:
+            result = built.read("token-alice", "c", "obj", region)
+            expected = reference.read("c", "obj", MInterval.parse(region))
+            np.testing.assert_array_equal(result.cells, expected)
 
 
 class TestRunUnits:

@@ -13,13 +13,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.arrays import (
     DOUBLE,
+    AlignedTiling,
+    BoundsTable,
+    DirectionalTiling,
     GridIndex,
     HashedNoiseSource,
     MDD,
     MInterval,
-    RTreeIndex,
     RegularTiling,
     SInterval,
+    SizeBoundedTiling,
     validate_tiling,
 )
 from repro.core import (
@@ -50,6 +53,37 @@ def domains_2d(max_extent=40):
     return st.tuples(
         st.integers(1, max_extent), st.integers(1, max_extent)
     ).map(lambda t: MInterval.from_shape(t))
+
+
+def regions_around(domain):
+    """Boxes over *domain* that may reach past it on any side."""
+    def axis(interval):
+        return st.tuples(
+            st.integers(interval.lo - 5, interval.hi + 5), st.integers(0, 20)
+        ).map(lambda t: (t[0], t[0] + t[1]))
+
+    return st.tuples(*(axis(a) for a in domain.axes)).map(
+        lambda bounds: MInterval.of(*bounds)
+    )
+
+
+def irregular_tilings(domain):
+    """Every non-regular tiling scheme, parameterised for *domain*."""
+    def cuts(interval):
+        if interval.extent == 1:
+            return st.just([])
+        return st.lists(st.integers(interval.lo + 1, interval.hi), max_size=4)
+
+    return st.one_of(
+        st.integers(64, 4096).map(SizeBoundedTiling),
+        st.tuples(
+            st.integers(64, 4096),
+            st.sampled_from([(), (0,), (1,), (0, 1)]),
+        ).map(lambda t: AlignedTiling(t[0], t[1])),
+        st.tuples(*(cuts(a) for a in domain.axes)).map(
+            lambda points: DirectionalTiling(list(points))
+        ),
+    )
 
 
 # -- interval algebra -------------------------------------------------------------
@@ -120,34 +154,19 @@ class TestTilingProperties:
     def test_grid_index_matches_bruteforce(self, domain, tile_w, tile_h, data):
         tiles = RegularTiling((tile_w, tile_h)).tile_domains(domain, DOUBLE)
         index = GridIndex(domain, (tile_w, tile_h))
-        for tile_id, tile in enumerate(tiles):
-            index.insert(tile_id, tile)
-        lo0 = data.draw(st.integers(domain[0].lo, domain[0].hi))
-        lo1 = data.draw(st.integers(domain[1].lo, domain[1].hi))
-        hi0 = data.draw(st.integers(lo0, domain[0].hi))
-        hi1 = data.draw(st.integers(lo1, domain[1].hi))
-        region = MInterval.of((lo0, hi0), (lo1, hi1))
+        region = data.draw(regions_around(domain))
         expect = sorted(i for i, t in enumerate(tiles) if t.intersects(region))
         assert index.intersecting(region) == expect
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 300), st.integers(0, 300)),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=30)
-    def test_rtree_finds_every_inserted_box(self, origins):
-        rtree = RTreeIndex(max_entries=4)
-        boxes = []
-        for i, (x, y) in enumerate(origins):
-            box = MInterval.of((x, x + 4), (y, y + 4))
-            boxes.append(box)
-            rtree.insert(i, box)
-        for i, box in enumerate(boxes):
-            assert i in rtree.intersecting(box)
-        assert rtree.all_ids() == list(range(len(boxes)))
+    @given(domains_2d(max_extent=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_table_matches_bruteforce(self, domain, data):
+        tiling = data.draw(irregular_tilings(domain))
+        tiles = tiling.tile_domains(domain, DOUBLE)
+        table = BoundsTable(tiles)
+        region = data.draw(regions_around(domain))
+        expect = sorted(i for i, t in enumerate(tiles) if t.intersects(region))
+        assert table.intersecting(region) == expect
 
 
 # -- STAR partition ------------------------------------------------------------------
@@ -155,29 +174,55 @@ class TestTilingProperties:
 
 class TestStarProperties:
     @given(
-        st.integers(1, 6),
-        st.integers(1, 6),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 9),
+        st.integers(1, 9),
         st.integers(1, 20),
     )
-    @settings(max_examples=40)
-    def test_partition_is_exact_and_ordered(self, tiles_x, tiles_y, target_tiles):
-        mdd = MDD(
-            "p",
-            MInterval.from_shape((tiles_x * 8, tiles_y * 8)),
-            DOUBLE,
-            tiling=RegularTiling((8, 8)),
-        )
-        tile_bytes = 8 * 8 * 8
-        super_tiles = star_partition(mdd, target_tiles * tile_bytes)
+    @settings(max_examples=60, deadline=None)
+    def test_partition_is_exact_and_ordered(
+        self, extent_x, extent_y, tile_x, tile_y, target_tiles
+    ):
+        # Extents need not be multiples of the tile: border tiles are ragged.
+        domain = MInterval.of((3, 2 + extent_x), (-4, -5 + extent_y))
+        mdd = MDD("p", domain, DOUBLE, tiling=RegularTiling((tile_x, tile_y)))
+        super_tiles = star_partition(mdd, target_tiles * tile_x * tile_y * 8)
         seen = [t for stile in super_tiles for t in stile.tile_ids]
         assert sorted(seen) == sorted(mdd.tiles)
         assert len(seen) == len(set(seen))
         mapping = tiles_to_super_tiles(super_tiles)
         assert set(mapping) == set(mdd.tiles)
-        # Hull never exceeds the object and sizes are positive.
+        # Hull never exceeds the object, has no holes, and sizes are positive.
         for stile in super_tiles:
             assert mdd.domain.contains(stile.domain)
+            assert stile.domain.cell_count == sum(
+                mdd.tiles[t].domain.cell_count for t in stile.tile_ids
+            )
             assert stile.size_bytes > 0
+        # Each super-tile is one grid block, in row-major block order.  Grid
+        # coordinates and the block shape come from tile domains alone:
+        # super-tile 0 is always a full block.
+        grid = {
+            tile_id: tuple(
+                (lo - axis.lo) // extent
+                for lo, axis, extent in zip(
+                    tile.domain.origin, domain.axes, (tile_x, tile_y)
+                )
+            )
+            for tile_id, tile in mdd.tiles.items()
+        }
+        block = [
+            len({grid[t][axis] for t in super_tiles[0].tile_ids})
+            for axis in range(2)
+        ]
+        members = {}
+        for tile_id in sorted(mdd.tiles):
+            key = tuple(g // b for g, b in zip(grid[tile_id], block))
+            members.setdefault(key, []).append(tile_id)
+        assert [stile.tile_ids for stile in super_tiles] == [
+            members[key] for key in sorted(members)
+        ]
 
 
 # -- caches --------------------------------------------------------------------------
